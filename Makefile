@@ -3,7 +3,7 @@ GO ?= go
 # Fuzz budget per target; CI smoke uses the default, nightly passes 10m.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen bench bench-experiments bench-contention bench-quality bench-serving bench-cluster bench-capacity bench-chaos bench-gate chaos clean
+.PHONY: all build test vet race race-full fuzz metrics-conformance lint sdk-deps check loadgen bench bench-experiments bench-contention bench-quality bench-serving bench-cluster bench-capacity bench-chaos bench-gate chaos clean
 
 all: check
 
@@ -21,7 +21,7 @@ vet:
 # tests (quality + rfd + vocab interner), and the HTTP layer (lock-free
 # metrics scrapes vs request writers).
 race:
-	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/api/... ./internal/server/... ./internal/cluster/... ./internal/capacity/... ./client/...
+	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/api/... ./internal/server/... ./internal/cluster/... ./internal/route/... ./internal/capacity/... ./client/...
 
 # Everything under the race detector (nightly).
 race-full:
@@ -47,6 +47,17 @@ metrics-conformance:
 lint:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@2023.1.7 && staticcheck ./...
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@latest && govulncheck ./...
+
+# The SDK may import exactly one internal package, the routing leaf, and
+# the leaf nothing but the standard library: the SDK stays importable
+# without the server's internals.
+sdk-deps:
+	@deps=$$($(GO) list -deps ./client) || exit 1; \
+	bad=$$(echo "$$deps" | grep '^itag/internal/' | grep -vx 'itag/internal/route'); \
+	if [ -n "$$bad" ]; then echo "client imports server internals:"; echo "$$bad"; exit 1; fi
+	@deps=$$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./internal/route) || exit 1; \
+	bad=$$(echo "$$deps" | grep -vx 'itag/internal/route'); \
+	if [ -n "$$bad" ]; then echo "internal/route imports beyond the standard library:"; echo "$$bad"; exit 1; fi
 
 # The tier-1 verify plus vet — what CI runs.
 check: vet build test

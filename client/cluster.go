@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"itag/internal/route"
 )
 
 // RingMember is one slot of the cluster ring and the address of the node
@@ -26,113 +26,21 @@ type RingInfo struct {
 	Members []RingMember `json:"members"`
 }
 
-// The ring math below intentionally duplicates internal/cluster: the SDK
-// must stay importable without reaching into the server's internals, and
-// the two are cross-pinned by a golden test over a fixed key corpus so
-// they cannot drift apart. Routing hashes FNV-1a over the key's first
-// path segment (the store's shard function), then passes placements
-// through the murmur3 finalizer to spread FNV's weak avalanche.
+// The ring math, breakers and backoff curve live in internal/route, a
+// standard-library-only leaf the nodes use too: the SDK stays importable
+// without reaching into the server's internals, and both sides place keys
+// with the very same code.
 
-func ringFNV32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// newRing converts a wire ring into a routable one.
+func newRing(info RingInfo) (*route.Ring, error) {
+	r := &route.Ring{Version: info.Version, VNodes: info.VNodes, Members: make([]route.Member, len(info.Members))}
+	for i, m := range info.Members {
+		r.Members[i] = route.Member{Slot: m.Slot, Addr: m.Addr}
 	}
-	return h
-}
-
-func ringMix32(h uint32) uint32 {
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
-
-func ringKeyHash(key string) uint32 {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		key = key[:i]
+	if err := r.Validate(); err != nil {
+		return nil, fmt.Errorf("itag: cluster ring: %w", err)
 	}
-	return ringFNV32(key)
-}
-
-type ringVNode struct {
-	hash uint32
-	slot string
-}
-
-type builtRing struct {
-	info   RingInfo
-	circle []ringVNode
-	addrs  map[string]string
-	order  []string // slots in successor (slot-hash) order
-}
-
-func buildRing(info RingInfo) (*builtRing, error) {
-	if len(info.Members) == 0 {
-		return nil, fmt.Errorf("itag: cluster ring has no members")
-	}
-	vn := info.VNodes
-	if vn <= 0 {
-		vn = 64
-	}
-	b := &builtRing{info: info, addrs: make(map[string]string, len(info.Members))}
-	for _, m := range info.Members {
-		b.addrs[m.Slot] = m.Addr
-		b.order = append(b.order, m.Slot)
-		for i := 0; i < vn; i++ {
-			b.circle = append(b.circle, ringVNode{hash: ringMix32(ringFNV32(m.Slot + "#" + strconv.Itoa(i))), slot: m.Slot})
-		}
-	}
-	sort.Slice(b.circle, func(i, j int) bool {
-		if b.circle[i].hash != b.circle[j].hash {
-			return b.circle[i].hash < b.circle[j].hash
-		}
-		return b.circle[i].slot < b.circle[j].slot
-	})
-	sort.Slice(b.order, func(i, j int) bool {
-		hi, hj := ringMix32(ringFNV32(b.order[i])), ringMix32(ringFNV32(b.order[j]))
-		if hi != hj {
-			return hi < hj
-		}
-		return b.order[i] < b.order[j]
-	})
-	return b, nil
-}
-
-func (b *builtRing) owner(key string) string {
-	h := ringMix32(ringKeyHash(key))
-	i := sort.Search(len(b.circle), func(i int) bool { return b.circle[i].hash >= h })
-	if i == len(b.circle) {
-		i = 0
-	}
-	return b.circle[i].slot
-}
-
-// firstFollower is the first slot after owner in successor order that lives
-// on a different address — always a replica holder for any replication
-// factor >= 1. Same-address successors are skipped to mirror the server's
-// Followers walk (one node may lead several slots; a co-located "replica"
-// holds no copy).
-func (b *builtRing) firstFollower(owner string) string {
-	at := -1
-	for i, s := range b.order {
-		if s == owner {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return ""
-	}
-	for i := 1; i < len(b.order); i++ {
-		if s := b.order[(at+i)%len(b.order)]; b.addrs[s] != b.addrs[owner] {
-			return s
-		}
-	}
-	return ""
+	return r, nil
 }
 
 // ClusterClient routes v1 API calls across an itagd cluster. It learns the
@@ -157,10 +65,11 @@ type ClusterClient struct {
 	httpc         *http.Client
 	retry         retryPolicy
 	followerReads bool
-	breakers      *breakerSet // shared across WithX copies: one view of node health
+	breakers      *route.Breakers // shared across WithX copies: one view of node health
 
 	mu   sync.RWMutex
-	ring *builtRing
+	info RingInfo
+	ring *route.Ring
 }
 
 // maxRouteHops bounds the 421-follow / ring-refresh loop. Under ring churn
@@ -168,15 +77,6 @@ type ClusterClient struct {
 // each redirect re-targets the call; after this many hops the client stops
 // chasing and surfaces a RouteError instead of ping-ponging forever.
 const maxRouteHops = 4
-
-// Client-side circuit breaker tuning: after clientBreakerThreshold straight
-// transport failures a node is skipped for clientBreakerCooldown, then one
-// probe is admitted. An HTTP response of any status closes the circuit —
-// breakers track reachability, not correctness.
-const (
-	clientBreakerThreshold = 3
-	clientBreakerCooldown  = 2 * time.Second
-)
 
 // ErrNodeSuspect is wrapped into errors returned when a call is refused
 // locally because the target node's circuit breaker is open (recent
@@ -199,77 +99,6 @@ func (e *RouteError) Error() string {
 
 func (e *RouteError) Unwrap() error { return e.Last }
 
-// nodeBreaker is one node's circuit state; the zero value is closed.
-type nodeBreaker struct {
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
-type breakerSet struct {
-	mu sync.Mutex
-	m  map[string]*nodeBreaker
-}
-
-func newBreakerSet() *breakerSet { return &breakerSet{m: make(map[string]*nodeBreaker)} }
-
-// allow reports whether a call to addr may proceed (admitting a single
-// half-open probe after the cooldown).
-func (bs *breakerSet) allow(addr string, now time.Time) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b := bs.m[addr]
-	if b == nil {
-		return true
-	}
-	if b.openUntil.IsZero() || now.After(b.openUntil) {
-		if !b.openUntil.IsZero() {
-			if b.probing {
-				return false
-			}
-			b.probing = true
-		}
-		return true
-	}
-	return false
-}
-
-func (bs *breakerSet) success(addr string) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if b := bs.m[addr]; b != nil {
-		b.fails, b.openUntil, b.probing = 0, time.Time{}, false
-	}
-}
-
-// release clears the half-open probe flag without recording an outcome.
-// A probe that ends in caller cancellation proves nothing about the node's
-// health, but the flag must not stay set: allow() admits no second probe
-// while one is marked in flight, so a leaked flag wedges the breaker open
-// (every call refused with ErrNodeSuspect) until process restart.
-func (bs *breakerSet) release(addr string) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if b := bs.m[addr]; b != nil {
-		b.probing = false
-	}
-}
-
-func (bs *breakerSet) failure(addr string, now time.Time) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b := bs.m[addr]
-	if b == nil {
-		b = &nodeBreaker{}
-		bs.m[addr] = b
-	}
-	b.fails++
-	b.probing = false
-	if b.fails >= clientBreakerThreshold || !b.openUntil.IsZero() {
-		b.openUntil = now.Add(clientBreakerCooldown)
-	}
-}
-
 // NewCluster builds a cluster client from one or more seed node addresses.
 // httpClient may be nil for http.DefaultClient. The ring is fetched lazily
 // on first use; call Refresh to fail fast.
@@ -281,7 +110,7 @@ func NewCluster(seeds []string, httpClient *http.Client) *ClusterClient {
 	for i, s := range seeds {
 		trimmed[i] = strings.TrimRight(s, "/")
 	}
-	return &ClusterClient{seeds: trimmed, httpc: httpClient, retry: defaultRetry, breakers: newBreakerSet()}
+	return &ClusterClient{seeds: trimmed, httpc: httpClient, retry: defaultRetry, breakers: new(route.Breakers)}
 }
 
 // WithRetry returns a copy whose per-node clients use the given retry
@@ -307,7 +136,7 @@ func (cc *ClusterClient) shallowClone() *ClusterClient {
 	defer cc.mu.RUnlock()
 	return &ClusterClient{
 		seeds: cc.seeds, httpc: cc.httpc, retry: cc.retry,
-		followerReads: cc.followerReads, ring: cc.ring, breakers: cc.breakers,
+		followerReads: cc.followerReads, info: cc.info, ring: cc.ring, breakers: cc.breakers,
 	}
 }
 
@@ -316,10 +145,8 @@ func (cc *ClusterClient) shallowClone() *ClusterClient {
 func (cc *ClusterClient) Refresh(ctx context.Context) error {
 	cc.mu.RLock()
 	var addrs []string
-	if cc.ring != nil {
-		for _, m := range cc.ring.info.Members {
-			addrs = append(addrs, m.Addr)
-		}
+	for _, m := range cc.info.Members {
+		addrs = append(addrs, m.Addr)
 	}
 	cc.mu.RUnlock()
 	addrs = append(addrs, cc.seeds...)
@@ -327,20 +154,20 @@ func (cc *ClusterClient) Refresh(ctx context.Context) error {
 	var lastErr error
 	for _, addr := range addrs {
 		var info RingInfo
-		if err := cc.call(addr, cc.node(addr), func(c *Client) error {
+		if err := cc.call(ctx, addr, cc.node(addr), func(c *Client) error {
 			return c.do(ctx, http.MethodGet, "/api/v1/cluster/ring", nil, &info)
 		}); err != nil {
 			lastErr = err
 			continue
 		}
-		built, err := buildRing(info)
+		ring, err := newRing(info)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		cc.mu.Lock()
-		if cc.ring == nil || built.info.Version > cc.ring.info.Version {
-			cc.ring = built
+		if cc.ring == nil || ring.Version > cc.ring.Version {
+			cc.info, cc.ring = info, ring
 		}
 		cc.mu.Unlock()
 		return nil
@@ -356,13 +183,10 @@ func (cc *ClusterClient) Refresh(ctx context.Context) error {
 func (cc *ClusterClient) Ring() RingInfo {
 	cc.mu.RLock()
 	defer cc.mu.RUnlock()
-	if cc.ring == nil {
-		return RingInfo{}
-	}
-	return cc.ring.info
+	return cc.info
 }
 
-func (cc *ClusterClient) ensureRing(ctx context.Context) (*builtRing, error) {
+func (cc *ClusterClient) ensureRing(ctx context.Context) (*route.Ring, error) {
 	cc.mu.RLock()
 	r := cc.ring
 	cc.mu.RUnlock()
@@ -388,8 +212,8 @@ func (cc *ClusterClient) Node(ctx context.Context, slot string) (*Client, error)
 	if err != nil {
 		return nil, err
 	}
-	addr, ok := r.addrs[slot]
-	if !ok {
+	addr := r.Addr(slot)
+	if addr == "" {
 		return nil, fmt.Errorf("itag: unknown cluster slot %q", slot)
 	}
 	return cc.node(addr), nil
@@ -401,30 +225,28 @@ func (cc *ClusterClient) Leader(ctx context.Context, key string) (*Client, error
 	if err != nil {
 		return nil, err
 	}
-	return cc.node(r.addrs[r.owner(key)]), nil
+	return cc.node(r.OwnerAddr(key)), nil
 }
 
 // call runs fn against one node through its circuit breaker: an open
 // circuit refuses the call locally (ErrNodeSuspect) instead of burning a
 // transport timeout against a node that recently proved dead; any HTTP
-// response — success or API error — closes it again.
-func (cc *ClusterClient) call(addr string, c *Client, fn func(*Client) error) error {
-	now := time.Now()
-	if !cc.breakers.allow(addr, now) {
+// response — success or API error — closes it again. Only the caller's
+// own ctx ending releases the call without an outcome; every other error,
+// a transport timeout included, counts against the node.
+func (cc *ClusterClient) call(ctx context.Context, addr string, c *Client, fn func(*Client) error) error {
+	if !cc.breakers.Allow(addr, time.Now()) {
 		return fmt.Errorf("%w (%s)", ErrNodeSuspect, addr)
 	}
 	err := fn(c)
 	var ae *APIError
 	switch {
 	case err == nil, errors.As(err, &ae):
-		cc.breakers.success(addr)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The caller gave up; that says nothing about the node's health.
-		// But if this call was the one admitted half-open probe, the probe
-		// slot must be released or the breaker wedges shut forever.
-		cc.breakers.release(addr)
+		cc.breakers.Success(addr)
+	case ctx.Err() != nil:
+		cc.breakers.Release(addr)
 	default:
-		cc.breakers.failure(addr, time.Now())
+		cc.breakers.Failure(addr, time.Now())
 	}
 	return err
 }
@@ -445,11 +267,13 @@ func (cc *ClusterClient) route(ctx context.Context, key string, read bool, fn fu
 	if err != nil {
 		return err
 	}
-	owner := r.owner(key)
+	owner := r.Owner(key)
 	if read && cc.followerReads {
-		if f := r.firstFollower(owner); f != "" && f != owner {
-			faddr := r.addrs[f]
-			ferr := cc.call(faddr, cc.node(faddr).WithHeader("X-Itag-Read", "follower"), fn)
+		// The first follower lives on another address: a replica holder
+		// for any replication factor >= 1.
+		if fs := r.Followers(owner, 1); len(fs) == 1 {
+			faddr := r.Addr(fs[0])
+			ferr := cc.call(ctx, faddr, cc.node(faddr).WithHeader("X-Itag-Read", "follower"), fn)
 			var ae *APIError
 			if ferr == nil {
 				return nil
@@ -461,10 +285,10 @@ func (cc *ClusterClient) route(ctx context.Context, key string, read bool, fn fu
 			// to the leader.
 		}
 	}
-	addr := r.addrs[owner]
+	addr := r.Addr(owner)
 	var last error
 	for hop := 0; hop < maxRouteHops; hop++ {
-		err := cc.call(addr, cc.node(addr), fn)
+		err := cc.call(ctx, addr, cc.node(addr), fn)
 		if err == nil {
 			return nil
 		}
@@ -496,7 +320,7 @@ func (cc *ClusterClient) route(ctx context.Context, key string, read bool, fn fu
 		if rerr != nil {
 			return err
 		}
-		next := nr.addrs[nr.owner(key)]
+		next := nr.OwnerAddr(key)
 		if next == "" || next == addr {
 			return err // nothing changed: don't hammer the same node again
 		}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,53 +10,6 @@ import (
 	"itag/internal/dataset"
 	"itag/internal/store"
 )
-
-// TestClientRingMatchesServerRing is the drift guard for the duplicated
-// ring math: the SDK's owner placement must agree with internal/cluster's
-// for every key, or a client would write to a node that rejects it. It
-// sweeps the golden corpus plus generated minted-style IDs on two ring
-// sizes.
-func TestClientRingMatchesServerRing(t *testing.T) {
-	keys := []string{
-		"proj-000001", "proj-000002", "proj-000017",
-		"proj-000001/proj-000001-task-00001", "res-0000", "res-0041/000123",
-		"prov-000001", "tag-000007", "tag-000032", "a", "",
-		"key/with/many/segments", "Ünïcode-キー",
-	}
-	for i := 0; i < 300; i++ {
-		keys = append(keys, fmt.Sprintf("proj-%06d", i), fmt.Sprintf("tag-%06d", i))
-	}
-	for _, slots := range [][]string{
-		{"alpha", "beta", "gamma"},
-		{"alpha", "beta", "gamma", "delta", "epsilon"},
-	} {
-		members := make([]cluster.Member, len(slots))
-		info := RingInfo{Version: 1, VNodes: cluster.DefaultVNodes}
-		for i, s := range slots {
-			members[i] = cluster.Member{Slot: s, Addr: "http://" + s}
-			info.Members = append(info.Members, RingMember{Slot: s, Addr: "http://" + s})
-		}
-		server, err := cluster.NewRing(members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sdk, err := buildRing(info)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, key := range keys {
-			if got, want := sdk.owner(key), server.Owner(key); got != want {
-				t.Fatalf("%d slots, key %q: SDK routes to %q, server to %q", len(slots), key, got, want)
-			}
-		}
-		for _, s := range slots {
-			want := server.Followers(s, 1)
-			if got := sdk.firstFollower(s); len(want) != 1 || got != want[0] {
-				t.Fatalf("firstFollower(%s) = %q, server says %v", s, got, want)
-			}
-		}
-	}
-}
 
 // startTestCluster boots an in-process cluster and returns a ClusterClient
 // wired to it over the fake network, plus the transport for failure drills.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"itag/internal/cluster"
+	"itag/internal/route"
 )
 
 // TestClusterClientHopCapOnRedirectLoop pins the bounded 421-follow loop:
@@ -54,37 +57,91 @@ func TestClusterClientHopCapOnRedirectLoop(t *testing.T) {
 }
 
 // TestClusterClientProbeCancelDoesNotWedgeBreaker pins the half-open
-// recovery path: when the single admitted probe ends in a context
-// cancellation or deadline — the common case when probing a hung node,
-// since callers pass deadline contexts — the probe slot must be released.
-// A leaked probing flag used to wedge allow() shut forever: every later
-// call returned ErrNodeSuspect even after the node recovered, and only a
-// process restart cleared it.
+// recovery path. The single admitted probe can end short of a response in
+// two ways, and neither may wedge the breaker:
+//   - the caller abandons it (its own context ends): the probe proves
+//     nothing about the node, so it is released without an outcome and the
+//     next call is admitted at once. A leaked probing flag used to wedge
+//     the breaker shut forever: every later call returned ErrNodeSuspect
+//     even after the node recovered, and only a process restart cleared it;
+//   - the node times it out (a transport timeout while the caller's context
+//     is live): that is a failure, so the circuit re-opens, and a new probe
+//     is admitted after the cooldown.
 func TestClusterClientProbeCancelDoesNotWedgeBreaker(t *testing.T) {
-	cc := NewCluster([]string{"http://x"}, nil)
 	const addr = "http://x"
-
-	// Open the circuit with failures stamped in the past so the cooldown
-	// has already elapsed and the next allow() admits the half-open probe.
-	past := time.Now().Add(-2 * clientBreakerCooldown)
-	for i := 0; i < clientBreakerThreshold; i++ {
-		cc.breakers.failure(addr, past)
+	// openPastCooldown opens the circuit with failures stamped in the past,
+	// so the cooldown has already elapsed and the next call is the
+	// half-open probe.
+	openPastCooldown := func() *ClusterClient {
+		cc := NewCluster([]string{addr}, nil)
+		past := time.Now().Add(-2 * route.BreakerCooldown)
+		for i := 0; i < route.BreakerThreshold; i++ {
+			cc.breakers.Failure(addr, past)
+		}
+		return cc
 	}
+	ok := func(*Client) error { return nil }
+	live := context.Background()
 
-	// The admitted probe times out against the hung node.
-	err := cc.call(addr, nil, func(*Client) error { return context.DeadlineExceeded })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("probe call returned %v, want DeadlineExceeded", err)
-	}
+	t.Run("abandoned", func(t *testing.T) {
+		cc := openPastCooldown()
+		ctx, cancel := context.WithCancel(live)
+		err := cc.call(ctx, addr, nil, func(*Client) error { cancel(); return ctx.Err() })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("probe call returned %v, want Canceled", err)
+		}
+		// The node recovers. The next call must be admitted (a fresh
+		// probe) — not refused with ErrNodeSuspect forever.
+		if err := cc.call(live, addr, nil, ok); err != nil {
+			t.Fatalf("breaker wedged after an abandoned probe: %v", err)
+		}
+		// And the successful probe closed the circuit fully.
+		if err := cc.call(live, addr, nil, ok); err != nil {
+			t.Fatalf("circuit not closed after a successful probe: %v", err)
+		}
+	})
 
-	// The node recovers. The next call must be admitted (a fresh probe, or
-	// a closed circuit) — not refused with ErrNodeSuspect forever.
-	if err := cc.call(addr, nil, func(*Client) error { return nil }); err != nil {
-		t.Fatalf("breaker wedged after a canceled probe: %v", err)
+	t.Run("timed out", func(t *testing.T) {
+		cc := openPastCooldown()
+		timeout := fmt.Errorf("client timeout: %w", context.DeadlineExceeded)
+		if err := cc.call(live, addr, nil, func(*Client) error { return timeout }); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("probe call returned %v, want DeadlineExceeded", err)
+		}
+		if err := cc.call(live, addr, nil, ok); !errors.Is(err, ErrNodeSuspect) {
+			t.Fatalf("call right after a timed-out probe = %v, want ErrNodeSuspect (circuit re-opened)", err)
+		}
+		// Once the cooldown passes a new probe is admitted, and its
+		// success closes the circuit.
+		if !cc.breakers.Allow(addr, time.Now().Add(route.BreakerCooldown+time.Millisecond)) {
+			t.Fatal("breaker wedged: no probe admitted after the cooldown")
+		}
+		cc.breakers.Success(addr)
+		if err := cc.call(live, addr, nil, ok); err != nil {
+			t.Fatalf("circuit not closed after a successful probe: %v", err)
+		}
+	})
+}
+
+// TestClusterClientBreakerOpensOnHungNode pins the other side of the
+// give-up rule: a node that accepts requests but never answers fails every
+// call through the caller's http.Client timeout. That error satisfies
+// errors.Is(err, context.DeadlineExceeded) although the caller's context is
+// live; it is the node's failure, so after the threshold the client refuses
+// the node locally instead of burning another timeout on it.
+func TestClusterClientBreakerOpensOnHungNode(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	cc := NewCluster([]string{srv.URL}, &http.Client{Timeout: 30 * time.Millisecond})
+	ctx := context.Background()
+	for i := 0; i < route.BreakerThreshold; i++ {
+		if err := cc.Refresh(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d to the hung node = %v, want a client timeout", i+1, err)
+		}
 	}
-	// And the successful probe closed the circuit fully.
-	if err := cc.call(addr, nil, func(*Client) error { return nil }); err != nil {
-		t.Fatalf("circuit not closed after a successful probe: %v", err)
+	if err := cc.Refresh(ctx); !errors.Is(err, ErrNodeSuspect) {
+		t.Fatalf("after %d timeouts: %v, want ErrNodeSuspect", route.BreakerThreshold, err)
 	}
 }
 
@@ -133,7 +190,7 @@ func TestClusterClientBreakerSkipsDeadNode(t *testing.T) {
 	// Failures accumulate per dial; once the threshold is crossed the
 	// breaker opens and the route fails locally with ErrNodeSuspect.
 	sawSuspect := false
-	for i := 0; i < 2*clientBreakerThreshold && !sawSuspect; i++ {
+	for i := 0; i < 2*route.BreakerThreshold && !sawSuspect; i++ {
 		_, err := cc.GetProject(ctx, project)
 		if err == nil {
 			t.Fatal("dead owner served a read")

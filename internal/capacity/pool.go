@@ -109,7 +109,8 @@ func NewPool(cfg PoolConfig) *Pool {
 // around to take it. The task receives the pool's lifetime context,
 // which is cancelled by Close; long tasks should observe it. Submit
 // blocks when the queue buffer is full and returns ErrPoolClosed after
-// Close.
+// Close. An error always means the task never runs, so a caller may
+// retire its work on it.
 func (p *Pool) Submit(task func(context.Context)) error {
 	p.mu.Lock()
 	if p.closed {
@@ -118,8 +119,17 @@ func (p *Pool) Submit(task func(context.Context)) error {
 	}
 	p.mu.Unlock()
 
+	// claimed settles, once, whether a worker runs the task or Submit
+	// reports a Close that raced the enqueue: a worker can take the task
+	// and finish it before Submit gets to look at p.closed.
+	var claimed atomic.Bool
+	run := func(ctx context.Context) {
+		if claimed.CompareAndSwap(false, true) {
+			task(ctx)
+		}
+	}
 	select {
-	case p.tasks <- task:
+	case p.tasks <- run:
 	case <-p.ctx.Done():
 		return ErrPoolClosed
 	}
@@ -127,8 +137,10 @@ func (p *Pool) Submit(task func(context.Context)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		// Close raced the enqueue; the drain loop in Close handles it.
-		return ErrPoolClosed
+		if claimed.CompareAndSwap(false, true) {
+			return ErrPoolClosed // the drain loop in Close drops it
+		}
+		return nil // a worker already took it
 	}
 	// Spawn when the queued work exceeds the workers free to take it.
 	if p.workers < p.limit && int(p.waiting.Load()) < len(p.tasks) {

@@ -41,6 +41,9 @@ func TestPoolRunsEverything(t *testing.T) {
 	if ran.Load() != n {
 		t.Errorf("ran %d tasks, want %d", ran.Load(), n)
 	}
+	// A worker bumps the counter just after its task returns, so the last
+	// bump can trail wg.Wait.
+	waitFor(t, time.Second, func() bool { return p.Stats().Completed >= n }, "completed counter to reach n")
 	if st := p.Stats(); st.Completed != n {
 		t.Errorf("completed counter = %d, want %d", st.Completed, n)
 	}

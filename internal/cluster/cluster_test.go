@@ -549,9 +549,15 @@ func TestClusterFollowerIngestCorruption(t *testing.T) {
 			}
 			tc.waitCaughtUp(slot)
 
-			// Corrupt the leader's replication feed, then write more.
+			// Corrupt the leader's replication feed, then write more. A pull
+			// already in flight may have resolved the clean handler before
+			// the swap and would ship the writes below unmangled; the
+			// second pull round completed after the swap started after it.
 			mangler := &manglingHandler{inner: tc.nodes[slot].Handler(), mode: mode}
+			rep := tc.nodes[follower].replicas[slot]
+			pulls := rep.pulls.Load()
 			tc.tr.Register(slot, mangler)
+			waitFor(t, 5*time.Second, "two pull rounds after the feed swap", func() bool { return rep.pulls.Load() >= pulls+2 })
 			before := tc.nodes[follower].ReplicaDB(slot).AppliedSeq()
 			ownerURL := "http://" + slot
 			for i := 0; i < 8; i++ {
@@ -679,12 +685,12 @@ func TestClusterRingConflictConverges(t *testing.T) {
 	if a.Version != base.Version+1 || b.Version != base.Version+1 {
 		t.Fatalf("versions diverged: alpha v%d, beta v%d", a.Version, b.Version)
 	}
-	if ak, bk := a.contentKey(), b.contentKey(); ak != bk {
+	if ak, bk := contentKey(a), contentKey(b); ak != bk {
 		t.Fatalf("nodes hold diverging rings at the same version:\nalpha %q\nbeta  %q", ak, bk)
 	}
 	// Re-delivering the losing ring stays a no-op on both.
 	loser := ringA
-	if a.contentKey() == ringA.contentKey() {
+	if contentKey(a) == contentKey(ringA) {
 		loser = ringB
 	}
 	if tc.nodes["alpha"].installRing(loser) || tc.nodes["beta"].installRing(loser) {
@@ -713,6 +719,12 @@ func TestClusterCompactionSnapshotShip(t *testing.T) {
 			break
 		}
 	}
+	// Stop the follower's background puller: a long PullInterval alone does
+	// not keep it behind, because rounds that make progress loop without
+	// waiting and can drain the tail before the compaction below.
+	rep := tc.nodes[follower].replicas[slot]
+	rep.cancel()
+	<-rep.done
 	ownerURL := "http://" + slot
 	for i := 0; i < 10; i++ {
 		var task store.TaskRec
@@ -731,7 +743,6 @@ func TestClusterCompactionSnapshotShip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := tc.nodes[follower].replicas[slot]
 	progressed, err := tc.nodes[follower].pullOnce(context.Background(), rep)
 	if err != nil {
 		t.Fatalf("snapshot pull: %v", err)

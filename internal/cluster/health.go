@@ -57,9 +57,9 @@ func (n *Node) Health() string {
 
 	anyOpen, allOpen := false, len(peerAddrs) > 0
 	for host := range peerAddrs {
-		// peek, not get: a scrape must not allocate breakers for peers this
-		// node never contacted. A missing breaker is a closed circuit.
-		if b := n.peers.peek(host); b != nil && b.open(now) {
+		// Open is read-only: a scrape must not track peers this node never
+		// contacted.
+		if n.peers.Open(host, now) {
 			anyOpen = true
 		} else {
 			allOpen = false

@@ -18,6 +18,7 @@ import (
 	"itag/internal/api"
 	"itag/internal/core"
 	"itag/internal/errs"
+	"itag/internal/route"
 	"itag/internal/server"
 	"itag/internal/store"
 )
@@ -214,7 +215,7 @@ type Node struct {
 	// Robustness state (PR 10): per-peer circuit breakers, quorum degrade
 	// accounting, demotions, staleness-breaker fallbacks, and the
 	// anti-entropy ring-fetch guard.
-	peers             peerSet
+	peers             route.Breakers
 	quorumDegraded    atomic.Uint64
 	lastDegraded      atomic.Int64 // unixnano of the last quorum degrade
 	demotions         atomic.Uint64
@@ -580,7 +581,7 @@ func (n *Node) installRing(ring *Ring) bool {
 		return false
 	}
 	if ring.Version == n.ring.Version {
-		theirs, ours := ring.contentKey(), n.ring.contentKey()
+		theirs, ours := contentKey(ring), contentKey(n.ring)
 		if theirs == ours {
 			return false // same ring, nothing to do
 		}
@@ -939,7 +940,7 @@ func (n *Node) pushRing(ctx context.Context, ring *Ring) {
 				select {
 				case <-ctx.Done():
 					return
-				case <-time.After(jitter(backoffFor(100*time.Millisecond, time.Second, attempt-1))):
+				case <-time.After(route.Jitter(route.Backoff(100*time.Millisecond, time.Second, attempt-1))):
 				}
 			}
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"itag/internal/errs"
+	"itag/internal/route"
 )
 
 // The follower half of replication. Each followed slot gets one puller
@@ -31,26 +32,34 @@ import (
 // would issue the identical doomed request — replication wedged for good.
 const maxBodyBytes = 1 << 30
 
-// pullLoop drives one followed slot until ctx ends. Rounds that made
-// progress loop immediately (catch-up); idle rounds wait out the poll
-// interval; failing rounds back off on the capped jittered exponential
-// schedule (backoffFor), so a dead or partitioned leader is probed ever
-// more gently instead of being hammered at the pull interval forever. One
-// good round resets the schedule.
+// pullLoop drives one followed slot until ctx ends.
 func (n *Node) pullLoop(ctx context.Context, rep *replica) {
 	defer n.wg.Done()
 	defer close(rep.done)
+	n.replicationLoop(ctx, nil, func() (bool, error) { return n.pullOnce(ctx, rep) }, func(err error) {
+		rep.countErr(err)
+		n.logger.Printf("cluster %s: pull %s: %v", n.slot, rep.slot, err)
+	})
+}
+
+// replicationLoop runs one replication stream (a follower's pulls or a
+// leader's pushes) until ctx ends. Rounds that made progress loop
+// immediately (catch-up); idle rounds wait out the poll interval or a poke
+// on wake; failing rounds back off on the capped jittered exponential
+// curve, so a dead or partitioned peer is probed ever more gently instead
+// of being hammered at the poll interval forever. One good round resets
+// the curve. onErr sees every failure except a refusal by an open breaker.
+func (n *Node) replicationLoop(ctx context.Context, wake <-chan struct{}, round func() (bool, error), onErr func(error)) {
 	streak := 0
 	for {
-		progressed, err := n.pullOnce(ctx, rep)
+		progressed, err := round()
 		if ctx.Err() != nil {
 			return
 		}
 		if err != nil {
 			streak++
 			if !errors.Is(err, errPeerOpen) {
-				rep.countErr(err)
-				n.logger.Printf("cluster %s: pull %s: %v", n.slot, rep.slot, err)
+				onErr(err)
 			}
 		} else {
 			streak = 0
@@ -60,13 +69,15 @@ func (n *Node) pullLoop(ctx context.Context, rep *replica) {
 		}
 		wait := n.opts.PullInterval
 		if streak > 0 {
-			wait = jitter(backoffFor(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
+			wait = route.Jitter(route.Backoff(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
 		}
 		timer := time.NewTimer(wait)
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 			return
+		case <-wake:
+			timer.Stop()
 		case <-timer.C:
 		}
 	}

@@ -174,43 +174,14 @@ func (n *Node) startPusherLocked(b *backend) {
 }
 
 // pushLoop drives one led slot's push replication until the backend is
-// demoted or the node closes. Errors back off on the shared capped jittered
-// schedule; progress loops immediately; idle rounds wait for a poke from
-// the quorum gate or the pull-interval tick.
+// demoted or the node closes; idle rounds also wake on a poke from the
+// quorum gate.
 func (n *Node) pushLoop(ctx context.Context, b *backend, p *pusher) {
 	defer n.wg.Done()
 	defer close(p.done)
-	streak := 0
-	for {
-		progressed, err := n.pushOnce(ctx, b, p)
-		if ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			streak++
-			if !errors.Is(err, errPeerOpen) {
-				n.logger.Printf("cluster %s: push %s: %v", n.slot, b.slot, err)
-			}
-		} else {
-			streak = 0
-			if progressed {
-				continue
-			}
-		}
-		wait := n.opts.PullInterval
-		if streak > 0 {
-			wait = jitter(backoffFor(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return
-		case <-p.notify:
-			timer.Stop()
-		case <-timer.C:
-		}
-	}
+	n.replicationLoop(ctx, p.notify, func() (bool, error) { return n.pushOnce(ctx, b, p) }, func(err error) {
+		n.logger.Printf("cluster %s: push %s: %v", n.slot, b.slot, err)
+	})
 }
 
 // pushOnce ships one batch of WAL frames past the confirmed watermark to
@@ -383,23 +354,26 @@ func (n *Node) noteRingVersion(versionHeader, fromAddr string) {
 
 // peerDo performs one inter-node call through the target's circuit
 // breaker: an open circuit refuses the call locally, transport failures
-// count toward opening it, and any HTTP response (even an error status)
-// proves the peer alive and closes it.
+// (timeouts included) count toward opening it, and any HTTP response (even
+// an error status) proves the peer alive and closes it. A call this node
+// abandoned itself — its request context ended on Close or a retired
+// replica — says nothing about the peer and only releases the breaker.
 func (n *Node) peerDo(req *http.Request) (*http.Response, error) {
-	b := n.peers.get(req.URL.Host)
-	now := time.Now()
-	if !b.allow(now) {
+	host := req.URL.Host
+	if !n.peers.Allow(host, time.Now()) {
 		return nil, errPeerOpen
 	}
 	resp, err := n.httpc.Do(req)
-	if err != nil {
-		if b.failure(time.Now(), breakerThreshold, breakerCooldown) {
-			n.logger.Printf("cluster %s: circuit open for peer %s: %v", n.slot, req.URL.Host, err)
-		}
-		return nil, err
+	switch {
+	case err == nil:
+		n.peers.Success(host)
+		return resp, nil
+	case req.Context().Err() != nil:
+		n.peers.Release(host)
+	case n.peers.Failure(host, time.Now()):
+		n.logger.Printf("cluster %s: circuit open for peer %s: %v", n.slot, host, err)
 	}
-	b.success()
-	return resp, nil
+	return nil, err
 }
 
 // --- quorum ack gate -------------------------------------------------------------

@@ -2,22 +2,26 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"itag/internal/chaos"
+	"itag/internal/route"
 	"itag/internal/store"
 )
 
-// TestBackoffScheduleRegression pins the shared inter-node retry curve:
-// capped exponential from base, so a regression in the schedule (say, a
-// refactor that drops the cap or doubles from the wrong origin) fails
-// loudly instead of silently hammering dead peers.
+// TestBackoffScheduleRegression pins the inter-node retry curve (the
+// shared route.Backoff): capped exponential from base, so a regression in
+// the schedule (say, a refactor that drops the cap or doubles from the
+// wrong origin) fails loudly instead of silently hammering dead peers.
 func TestBackoffScheduleRegression(t *testing.T) {
 	cases := []struct {
 		base, max time.Duration
@@ -36,20 +40,20 @@ func TestBackoffScheduleRegression(t *testing.T) {
 		{500 * time.Millisecond, 100 * time.Millisecond, 5, 500 * time.Millisecond},
 	}
 	for _, c := range cases {
-		if got := backoffFor(c.base, c.max, c.streak); got != c.want {
-			t.Errorf("backoffFor(%v, %v, %d) = %v, want %v", c.base, c.max, c.streak, got, c.want)
+		if got := route.Backoff(c.base, c.max, c.streak); got != c.want {
+			t.Errorf("Backoff(%v, %v, %d) = %v, want %v", c.base, c.max, c.streak, got, c.want)
 		}
 	}
 	// Jitter spreads over [d/2, 3d/2) and never collapses to zero.
 	d := 100 * time.Millisecond
 	for i := 0; i < 200; i++ {
-		j := jitter(d)
+		j := route.Jitter(d)
 		if j < d/2 || j >= d+d/2 {
 			t.Fatalf("jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
 		}
 	}
-	if jitter(0) != 0 {
-		t.Errorf("jitter(0) = %v, want 0", jitter(0))
+	if route.Jitter(0) != 0 {
+		t.Errorf("jitter(0) = %v, want 0", route.Jitter(0))
 	}
 }
 
@@ -58,55 +62,85 @@ func TestBackoffScheduleRegression(t *testing.T) {
 // refusing during the cooldown, half-open single probe after it, re-opened
 // by a failed probe, and fully closed by a successful one.
 func TestBreakerLifecycle(t *testing.T) {
-	b := &breaker{}
+	const peer = "node-a:8080"
 	now := time.Now()
-	cool := time.Second
+	cool := route.BreakerCooldown
+	var b route.Breakers
 
-	for i := 0; i < breakerThreshold-1; i++ {
-		if !b.allow(now) {
+	for i := 0; i < route.BreakerThreshold-1; i++ {
+		if !b.Allow(peer, now) {
 			t.Fatalf("closed breaker refused call %d", i)
 		}
-		if b.failure(now, breakerThreshold, cool) {
-			t.Fatalf("breaker opened after %d failures, threshold is %d", i+1, breakerThreshold)
+		if b.Failure(peer, now) {
+			t.Fatalf("breaker opened after %d failures, threshold is %d", i+1, route.BreakerThreshold)
 		}
 	}
-	if !b.failure(now, breakerThreshold, cool) {
+	if !b.Failure(peer, now) {
 		t.Fatal("breaker did not open at the threshold")
 	}
-	if !b.open(now.Add(cool / 2)) {
+	if !b.Open(peer, now.Add(cool/2)) {
 		t.Fatal("breaker not open during the cooldown")
 	}
-	if b.allow(now.Add(cool / 2)) {
+	if b.Allow(peer, now.Add(cool/2)) {
 		t.Fatal("open breaker admitted a call during the cooldown")
 	}
 
 	// After the cooldown: exactly one probe.
 	after := now.Add(cool + time.Millisecond)
-	if !b.allow(after) {
+	if !b.Allow(peer, after) {
 		t.Fatal("breaker refused the half-open probe")
 	}
-	if b.allow(after) {
+	if b.Allow(peer, after) {
 		t.Fatal("breaker admitted a second concurrent probe")
 	}
 	// A failed probe re-opens immediately (no threshold restart).
-	if !b.failure(after, breakerThreshold, cool) {
+	if !b.Failure(peer, after) {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
-	if b.opens != 2 {
-		t.Fatalf("opens = %d, want 2", b.opens)
+	if _, _, opens := b.Snapshot(after); opens != 2 {
+		t.Fatalf("opens = %d, want 2", opens)
 	}
 
 	// A successful probe closes it fully.
 	after2 := after.Add(cool + time.Millisecond)
-	if !b.allow(after2) {
+	if !b.Allow(peer, after2) {
 		t.Fatal("breaker refused the second probe")
 	}
-	b.success()
-	if b.open(after2) || !b.allow(after2) {
+	b.Success(peer)
+	if b.Open(peer, after2) || !b.Allow(peer, after2) {
 		t.Fatal("breaker not closed after a successful probe")
 	}
-	if b.failure(after2, breakerThreshold, cool) {
+	if b.Failure(peer, after2) {
 		t.Fatal("single failure after close re-opened the breaker")
+	}
+}
+
+// TestPeerDoCancelLeavesBreakerClosed pins the give-up rule on the node
+// side: a call this node abandons itself (its request context ends, as on
+// Close or a retired replica) says nothing about the peer. Threshold such
+// calls must leave the peer's circuit closed and the peer untripped.
+func TestPeerDoCancelLeavesBreakerClosed(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer peer.Close()
+	n := &Node{slot: "self", httpc: peer.Client(), logger: log.New(io.Discard, "", 0)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var host string
+	for i := 0; i < route.BreakerThreshold; i++ {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer.URL+"/api/v1/cluster/wal", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host = req.URL.Host
+		if _, err := n.peerDo(req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled call %d = %v, want Canceled", i+1, err)
+		}
+	}
+	if n.peers.Open(host, time.Now()) {
+		t.Fatal("canceled calls opened the peer's circuit")
+	}
+	if open, _, opens := n.peers.Snapshot(time.Now()); open != 0 || opens != 0 {
+		t.Fatalf("breakers after canceled calls: %d open, %d opens; want none", open, opens)
 	}
 }
 
@@ -184,18 +218,22 @@ func TestQuorumWaiterPruning(t *testing.T) {
 // itag_cluster_peers_tracked to the full ring and pins stale addresses
 // after ring changes.
 func TestPeerPeekDoesNotAllocate(t *testing.T) {
-	ps := &peerSet{}
-	if b := ps.peek("node-a:8080"); b != nil {
-		t.Fatal("peek of an uncontacted peer returned a breaker")
+	var ps route.Breakers
+	now := time.Now()
+	if ps.Open("node-a:8080", now) {
+		t.Fatal("peek reported an uncontacted peer's circuit open")
 	}
-	if _, total, _ := ps.snapshot(time.Now()); total != 0 {
+	if _, total, _ := ps.Snapshot(now); total != 0 {
 		t.Fatalf("peek allocated: %d peers tracked, want 0", total)
 	}
-	ps.get("node-a:8080")
-	if ps.peek("node-a:8080") == nil {
-		t.Fatal("peek missed a contacted peer's breaker")
+	ps.Allow("node-a:8080", now)
+	for i := 0; i < route.BreakerThreshold; i++ {
+		ps.Failure("node-a:8080", now)
 	}
-	if _, total, _ := ps.snapshot(time.Now()); total != 1 {
+	if !ps.Open("node-a:8080", now) {
+		t.Fatal("peek missed a contacted peer's open circuit")
+	}
+	if _, total, _ := ps.Snapshot(now); total != 1 {
 		t.Fatalf("peers tracked = %d, want 1", total)
 	}
 }

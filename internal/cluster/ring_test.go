@@ -3,33 +3,7 @@ package cluster
 import (
 	"fmt"
 	"testing"
-
-	"itag/internal/store"
 )
-
-// TestKeyHashMatchesStoreSharding cross-pins the ring's key hash against
-// store.Sharded's routing: for any shard count, KeyHash(key) mod n must
-// pick the same shard ShardFor does. The two implementations live in
-// different packages; this test is what stops them drifting apart.
-func TestKeyHashMatchesStoreSharding(t *testing.T) {
-	keys := []string{
-		"proj-000001", "proj-000002", "proj-000017",
-		"proj-000001/proj-000001-task-00001", "res-0000", "res-0041/000123",
-		"prov-000001", "tag-000007", "tag-000032", "a", "",
-		"key/with/many/segments", "Ünïcode-キー",
-	}
-	for i := 0; i < 200; i++ {
-		keys = append(keys, fmt.Sprintf("proj-%06d", i), fmt.Sprintf("proj-%06d/task-%05d", i, i))
-	}
-	for _, n := range []int{2, 3, 5, 16, 64} {
-		sh := store.NewSharded(n)
-		for _, key := range keys {
-			if got, want := int(KeyHash(key)%uint32(n)), sh.ShardFor(key); got != want {
-				t.Fatalf("n=%d key=%q: KeyHash%%n = %d, ShardFor = %d", n, key, got, want)
-			}
-		}
-	}
-}
 
 func mkRing(t *testing.T, slots ...string) *Ring {
 	t.Helper()

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"itag/internal/capacity"
 )
@@ -28,18 +26,8 @@ import (
 //     and Catalogs, which are themselves concurrency-safe;
 //   - a step failure retires only that engine; the rest keep running.
 type Pool struct {
-	// Workers is the number of concurrent step workers (default 8) in
-	// fixed mode.
+	// Workers is the number of concurrent step workers (default 8).
 	Workers int
-
-	// Max > 0 switches RunContext to adaptive mode: instead of Workers
-	// fixed goroutines, steps run on an autoscaling capacity.Pool that
-	// grows from Min toward Max as engines queue up, and reaps workers
-	// (all the way to Min, which may be zero) after Idle without work.
-	Min, Max int
-	// Idle is the adaptive-mode worker idle timeout (capacity.Pool's
-	// default when zero).
-	Idle time.Duration
 }
 
 // DefaultPoolWorkers is the Pool.Run worker count when unset.
@@ -55,78 +43,34 @@ func (p Pool) Run(engines []*Engine) []error {
 // still in flight retires with ctx's error instead of running to
 // completion (engines observe the context inside StepContext too, so a
 // cancellation interrupts even a long platform wait).
+//
+// The steps run on a capacity.Pool held at exactly Workers workers (the
+// scheduler the Service's shared pool uses too). Each engine step is one
+// task that resubmits itself until the engine retires, so an engine holds
+// at most one queue slot; the queue is sized for all of them, which keeps
+// resubmission non-blocking.
 func (p Pool) RunContext(ctx context.Context, engines []*Engine) []error {
-	if p.Max > 0 {
-		return p.runAdaptive(ctx, engines)
-	}
-	n := len(engines)
-	errs := make([]error, n)
-	if n == 0 {
-		return errs
-	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = DefaultPoolWorkers
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// Each engine contributes at most one queue entry, so a buffer of n
-	// makes requeueing non-blocking. The worker that retires the last
-	// engine closes the queue; a requeueing worker still owns its engine's
-	// slot in `remaining`, so the queue cannot be closed under it.
-	queue := make(chan int, n)
-	for i := range engines {
-		queue <- i
-	}
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				done, err := engines[i].StepContext(ctx)
-				if err != nil {
-					errs[i] = err
-					done = true
-				}
-				if done {
-					if remaining.Add(-1) == 0 {
-						close(queue)
-					}
-				} else {
-					queue <- i
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
-}
-
-// runAdaptive drives the engines on an autoscaling worker set. Each
-// engine step is one pool task that resubmits itself until the engine
-// retires — the same at-most-one-owner invariant as the fixed queue,
-// expressed as self-requeueing tasks. The queue is sized so every engine
-// can hold one slot, which keeps resubmission non-blocking.
-func (p Pool) runAdaptive(ctx context.Context, engines []*Engine) []error {
 	n := len(engines)
 	errList := make([]error, n)
 	if n == 0 {
 		return errList
 	}
-	ap := capacity.NewPool(capacity.PoolConfig{
-		Min: p.Min, Max: p.Max, Idle: p.Idle, Queue: n + 1,
-	})
+	workers := p.Workers
+	if workers <= 0 {
+		workers = DefaultPoolWorkers
+	}
+	workers = min(workers, n)
+	ap := capacity.NewPool(capacity.PoolConfig{Min: workers, Max: workers, Queue: n + 1})
 	defer ap.Close()
 
 	var remaining atomic.Int64
 	remaining.Store(int64(n))
 	allDone := make(chan struct{})
+	retire := func() {
+		if remaining.Add(-1) == 0 {
+			close(allDone)
+		}
+	}
 	var step func(i int) func(context.Context)
 	step = func(i int) func(context.Context) {
 		return func(context.Context) {
@@ -142,17 +86,13 @@ func (p Pool) runAdaptive(ctx context.Context, engines []*Engine) []error {
 				}
 				errList[i] = serr // pool closed under us: retire the engine
 			}
-			if remaining.Add(-1) == 0 {
-				close(allDone)
-			}
+			retire()
 		}
 	}
 	for i := range engines {
 		if err := ap.Submit(step(i)); err != nil {
 			errList[i] = err
-			if remaining.Add(-1) == 0 {
-				close(allDone)
-			}
+			retire()
 		}
 	}
 	<-allDone

@@ -469,18 +469,6 @@ func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
 	run.doneCh = make(chan struct{})
 	run.Engine.Monitor().Restart()
 	s.bumpRunsEpoch()
-	finish := func(err error) {
-		run.mu.Lock()
-		run.runErr = err
-		run.running = false
-		close(run.doneCh)
-		run.mu.Unlock()
-		// Bump before finishProject: its PutProject also advances the
-		// serve version, but the GetProject-error path skips it, and the
-		// Running flip must never be the unversioned mutation.
-		s.bumpRunsEpoch()
-		s.finishProject(projectID, err)
-	}
 	if s.pool != nil {
 		// Shared autoscaling pool: the run advances as self-resubmitting
 		// single steps, so many projects interleave on a few workers and
@@ -490,11 +478,11 @@ func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
 			done, err := run.Engine.StepContext(s.lifeCtx)
 			if err == nil && !done {
 				if serr := s.pool.Submit(step); serr != nil {
-					finish(serr) // pool closed mid-run
+					s.finishRun(run, projectID, serr) // pool closed mid-run
 				}
 				return
 			}
-			finish(err)
+			s.finishRun(run, projectID, err)
 		}
 		if err := s.pool.Submit(step); err != nil {
 			run.runErr = err
@@ -506,9 +494,26 @@ func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
 		return nil
 	}
 	go func() {
-		finish(run.Engine.RunContext(s.lifeCtx))
+		s.finishRun(run, projectID, run.Engine.RunContext(s.lifeCtx))
 	}()
 	return nil
+}
+
+// finishRun retires a finished run: it flips Running off, persists the
+// project's final state, and only then releases WaitSimulation, so a
+// waiter never reads the project as still active.
+func (s *Service) finishRun(run *Run, projectID string, runErr error) {
+	run.mu.Lock()
+	run.runErr = runErr
+	run.running = false
+	done := run.doneCh
+	run.mu.Unlock()
+	// Bump before finishProject: its PutProject also advances the serve
+	// version, but the GetProject-error path skips it, and the Running
+	// flip must never be the unversioned mutation.
+	s.bumpRunsEpoch()
+	s.finishProject(projectID, runErr)
+	close(done)
 }
 
 func (s *Service) finishProject(projectID string, runErr error) {
@@ -583,13 +588,7 @@ func (s *Service) RunSimulations(ctx context.Context, projectIDs []string, worke
 
 	var first error
 	for i, run := range runs {
-		run.mu.Lock()
-		run.runErr = errs[i]
-		run.running = false
-		close(run.doneCh)
-		run.mu.Unlock()
-		s.bumpRunsEpoch()
-		s.finishProject(projectIDs[i], errs[i])
+		s.finishRun(run, projectIDs[i], errs[i])
 		if errs[i] != nil && first == nil {
 			first = errs[i]
 		}

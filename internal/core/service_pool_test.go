@@ -110,8 +110,8 @@ func TestServicePoolCloseInterruptsRuns(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCorePool: core.Pool in adaptive mode drives many engines
-// to completion with the same per-engine error contract as fixed mode.
+// TestAdaptiveCorePool: core.Pool, running its steps on the capacity
+// scheduler, drives many engines to completion, each with its own error.
 func TestAdaptiveCorePool(t *testing.T) {
 	s := newService(t)
 	var engines []*Engine
@@ -123,7 +123,7 @@ func TestAdaptiveCorePool(t *testing.T) {
 		}
 		engines = append(engines, run.Engine)
 	}
-	errsList := Pool{Min: 0, Max: 4, Idle: 20 * time.Millisecond}.Run(engines)
+	errsList := Pool{Workers: 4}.Run(engines)
 	for i, err := range errsList {
 		if err != nil {
 			t.Errorf("engine %d: %v", i, err)
@@ -133,5 +133,49 @@ func TestAdaptiveCorePool(t *testing.T) {
 		if !e.Done() {
 			t.Error("engine not driven to completion")
 		}
+	}
+}
+
+// slowDoneStore holds up the write that persists a project as done.
+type slowDoneStore struct {
+	store.Store
+	delay time.Duration
+}
+
+func (s slowDoneStore) Put(table, key string, value any) error {
+	if p, ok := value.(store.ProjectRec); ok && table == store.TableProjects && p.Status == store.ProjectDone {
+		time.Sleep(s.delay)
+	}
+	return s.Store.Put(table, key, value)
+}
+
+// TestWaitSimulationSeesPersistedDone: WaitSimulation returns only once
+// the run's final state is persisted, on the shared pool and on a
+// dedicated goroutine alike. The done write is held up here; a waiter
+// released before it landed read the project back as still active.
+func TestWaitSimulationSeesPersistedDone(t *testing.T) {
+	for name, opts := range map[string]ServiceOptions{
+		"goroutine": {},
+		"pool":      {PoolMax: 4, PoolIdle: 20 * time.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := slowDoneStore{Store: store.OpenMemory(), delay: 100 * time.Millisecond}
+			s := NewServiceWith(store.NewCatalog(db), 77, opts)
+			t.Cleanup(s.Close)
+			_, proj := createSimProject(t, s, 60)
+			if err := s.StartSimulation(context.Background(), proj); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WaitSimulation(context.Background(), proj); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := s.Catalog().GetProject(proj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Status != store.ProjectDone {
+				t.Errorf("status right after WaitSimulation = %s, want done", rec.Status)
+			}
+		})
 	}
 }

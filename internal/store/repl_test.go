@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"itag/internal/errs"
 )
@@ -450,4 +451,58 @@ func TestReplicationConcurrentWriters(t *testing.T) {
 		default:
 		}
 	}
+}
+
+// TestReplTailDuringRotation pins the window of a segment rotation between
+// sealing the active segment and opening its successor: a ReplTail capture
+// taken there must ship every record exactly once. The sealed segment used
+// to stay described as the active one as well, so the capture read it
+// twice and reported a false corruption.
+func TestReplTailDuringRotation(t *testing.T) {
+	dir := t.TempDir()
+	leader, err := Open(filepath.Join(dir, "leader.wal"), Options{SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+
+	var (
+		tail     []byte
+		last     uint64
+		tailErr  error
+		once     sync.Once
+		captured = make(chan struct{})
+	)
+	leader.SetFailpoint(func(p Failpoint) bool {
+		if p == FailRotateMid {
+			once.Do(func() {
+				tail, last, tailErr = leader.ReplTail(0, 1<<20)
+				close(captured)
+			})
+		}
+		return false
+	})
+	for i := 0; i < 200; i++ {
+		if err := leader.Put("res", fmt.Sprintf("k%04d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-captured:
+	case <-time.After(5 * time.Second):
+		t.Fatal("200 puts never rotated a 512-byte segment")
+	}
+	if tailErr != nil {
+		t.Fatalf("ReplTail mid-rotation: %v", tailErr)
+	}
+	follower := mustOpenRepl(t, filepath.Join(dir, "follower.wal"))
+	defer follower.Close()
+	if _, err := follower.ApplyReplicated(tail); err != nil {
+		t.Fatalf("apply mid-rotation tail: %v", err)
+	}
+	if got := follower.AppliedSeq(); got != last {
+		t.Fatalf("follower at seq %d after applying a tail ending at %d", got, last)
+	}
+	catchUp(t, leader, follower, 1<<20)
+	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
 }

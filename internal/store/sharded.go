@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"itag/internal/errs"
+	"itag/internal/route"
 )
 
 // Sharded partitions the key space of any number of inner stores so that
@@ -105,23 +106,9 @@ func (s *Sharded) ShardFor(key string) int {
 	return int(shardIndex(key, uint32(len(s.shards))))
 }
 
-// shardIndex hashes the key's first path segment (FNV-1a) into [0, n).
-func shardIndex(key string, n uint32) uint32 {
-	seg := key
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		seg = key[:i]
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(seg); i++ {
-		h ^= uint32(seg[i])
-		h *= prime32
-	}
-	return h % n
-}
+// shardIndex places the key in [0, n) by its routing hash (FNV-1a of the
+// first path segment), the hash the cluster ring places keys by too.
+func shardIndex(key string, n uint32) uint32 { return route.KeyHash(key) % n }
 
 func (s *Sharded) shard(key string) Store { return s.shards[s.ShardFor(key)] }
 

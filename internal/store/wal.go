@@ -465,9 +465,12 @@ func (db *DB) sealActiveLocked() error {
 	w.file, w.bw = nil, nil
 	w.sinceSync = 0
 	db.st.fsyncs.Add(1)
+	// The segment moves onto the sealed list and out of the active slot in
+	// one smu section: a ReplTail capture in between must not see it twice.
 	w.smu.Lock()
 	w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize})
 	w.sealedSize += w.activeSize
+	w.activeSize = 0
 	w.smu.Unlock()
 	return nil
 }
